@@ -3,7 +3,10 @@
 PR 7 gave the service a write-ahead job journal: every lifecycle
 transition is CRC-framed and appended to ``journal.jsonl`` *before* it
 is applied, so a killed serve can be replayed with
-:meth:`SchedulerService.recover`. This bench gates the cost of that
+:meth:`SchedulerService.recover`. The journaled leg is a
+directory-backed service (one shard journal under
+``<dir>/shards/<key>/``) whose registry and event log stay in memory,
+exactly as on the bare leg, so the two legs differ only by the journal. This bench gates the cost of that
 discipline on the e19 serving workload (32 jobs batched 8-at-a-time on
 an 8x8 grid):
 
@@ -38,6 +41,7 @@ from repro.core import RandomDelayScheduler
 from repro.parallel import SoloRunCache
 from repro.service import (
     JobJournal,
+    RunRegistry,
     SchedulerService,
     read_journal,
 )
@@ -75,7 +79,7 @@ def _stream(network):
     return algorithms
 
 
-def _serve(network, algorithms, journal):
+def _serve(network, algorithms, directory):
     """One full serve of the stream; returns (service, jobs, seconds).
 
     GC is paused inside the timed region: the journaled leg allocates
@@ -87,7 +91,9 @@ def _serve(network, algorithms, journal):
         scheduler=RandomDelayScheduler(),
         batch_size=BATCH_SIZE,
         solo_cache=SoloRunCache(),
-        journal=journal,
+        directory=directory,
+        events="memory",
+        registry=RunRegistry(),
     )
     gc.collect()
     gc.disable()
@@ -130,7 +136,7 @@ def test_e21_durability_overhead_under_5_percent(
     # Warm-up leg per mode, then interleave the timed reps, alternating
     # which leg goes first so positional drift cancels.
     _serve(network, algorithms, None)
-    _serve(network, algorithms, JobJournal(tmp_path / "w.jsonl"))
+    _serve(network, algorithms, tmp_path / "warm")
 
     bare_times, wal_times, rep_overheads = [], [], []
     bare_jobs = wal_jobs = None
@@ -142,8 +148,7 @@ def test_e21_durability_overhead_under_5_percent(
             return jobs, seconds
 
         def _wal():
-            journal = JobJournal(tmp_path / f"journal_{rep}.jsonl")
-            return _serve(network, algorithms, journal)
+            return _serve(network, algorithms, tmp_path / f"wal_{rep}")
 
         if rep % 2:
             wal_service, wal_jobs, wal_s = _wal()
@@ -158,7 +163,8 @@ def test_e21_durability_overhead_under_5_percent(
         # machine is throttled right now, numerator and denominator see
         # the same slowdown and the ratio cancels it.
         per_append = _per_append_seconds(tmp_path / f"micro_{rep}.jsonl")
-        wal_cost_s = wal_service.journal.seq * per_append
+        [shard] = wal_service.shards.values()
+        wal_cost_s = shard.journal.seq * per_append
         rep_overheads.append((SAFETY * wal_cost_s / bare_s, wal_cost_s))
 
     # purity: the journaled run served bit-identical outputs
@@ -168,7 +174,8 @@ def test_e21_durability_overhead_under_5_percent(
         )
 
     # liveness: the journal is complete and replayable
-    journal = wal_service.journal
+    [shard] = wal_service.shards.values()
+    journal = shard.journal
     records, problems = read_journal(journal.path)
     assert problems == [], problems
     assert len(records) == journal.seq > 0
@@ -191,7 +198,7 @@ def test_e21_durability_overhead_under_5_percent(
 
     rows = [
         [
-            "bare (journal=None)",
+            "bare (no directory)",
             f"{bare_best * 1e3:.1f}",
             0,
             "-",

@@ -3,10 +3,12 @@
 Claims measured:
 
 * **structural drain speedup** — draining a workload spanning
-  :data:`SHARD_COUNT` independent networks through
-  :class:`repro.service.ShardedSchedulerService` costs **at least 3x
-  less critical-path time** than a single-queue serial drain of the
-  same submissions (asserted).  Jobs on different networks share
+  :data:`SHARD_COUNT` independent networks through one
+  :class:`repro.service.SchedulerService` costs **at least 3x
+  less critical-path time** than a serial drain of the same
+  submissions (asserted). The serial witness drains each network's
+  stream alone through its own service and pays the sum of every
+  batch's execution time (taken from that service's ``drain_waves``).  Jobs on different networks share
   nothing — not the graph, not the congestion, not the tapes — so the
   sharded drain stages batches from every shard into one pool wave;
   on enough cores a wave costs its *slowest batch*, while the serial
@@ -26,9 +28,9 @@ Claims measured:
 
 Crash recovery of the sharded layout (per-shard journals under
 ``<dir>/shards/<key>/``) is exercised point-by-point in
-``tests/service/test_sharding.py::TestShardedRecovery`` — the full
-``CRASH_POINTS`` matrix recovers byte-identically per shard — so this
-bench only measures throughput.
+``tests/service/test_recovery.py::TestCrashMatrix`` — the full
+``CRASH_POINTS`` matrix over a one- and a three-network stream
+recovers byte-identically — so this bench only measures throughput.
 """
 
 import gc
@@ -40,7 +42,7 @@ from repro.algorithms import BFS, HopBroadcast
 from repro.congest import topology
 from repro.core import RandomDelayScheduler
 from repro.parallel import SoloRunCache
-from repro.service import SchedulerService, ShardedSchedulerService
+from repro.service import SchedulerService
 
 from conftest import emit
 
@@ -115,30 +117,32 @@ def _snapshot(service):
 
 
 def _serial_drain(networks):
-    """Single-queue serial drain; per-batch costs timed one by one."""
-    service = SchedulerService(
-        scheduler=RandomDelayScheduler(),
-        batch_size=BATCH_SIZE,
-        solo_cache=SoloRunCache(),
-    )
-    jobs = _submit_all(service, networks)
-    gc.collect()
-    wall_start = time.perf_counter()
-    batch_costs = []
-    while True:
+    """Each network's stream drained alone, one service after another.
+
+    Returns the per-network services, every batch's measured execution
+    time, and the summed drain wall time.
+    """
+    services, batch_costs, wall = [], [], 0.0
+    for network in networks:
+        service = SchedulerService(
+            scheduler=RandomDelayScheduler(),
+            batch_size=BATCH_SIZE,
+            solo_cache=SoloRunCache(),
+        )
+        jobs = _submit_all(service, [network])
+        gc.collect()
         start = time.perf_counter()
-        batch = service.run_once()
-        if not batch:
-            break
-        batch_costs.append(time.perf_counter() - start)
-    wall = time.perf_counter() - wall_start
-    assert all(job.state.value == "done" for job in jobs)
-    return service, batch_costs, wall
+        service.drain()
+        wall += time.perf_counter() - start
+        assert all(job.state.value == "done" for job in jobs)
+        batch_costs.extend(cost for wave in service.drain_waves for cost in wave)
+        services.append(service)
+    return services, batch_costs, wall
 
 
 def _sharded_drain(networks):
     """Sharded concurrent drain; per-batch costs come from the waves."""
-    service = ShardedSchedulerService(
+    service = SchedulerService(
         scheduler=RandomDelayScheduler(),
         batch_size=BATCH_SIZE,
         solo_cache=SoloRunCache(),
@@ -157,20 +161,23 @@ def test_e23_sharded_serve(benchmark, results_dir):
     networks = _networks()
     total_jobs = SHARD_COUNT * JOBS_PER_NET
 
-    serial_service, batch_costs, serial_wall = _serial_drain(networks)
+    serial_services, batch_costs, serial_wall = _serial_drain(networks)
     sharded_service, waves, sharded_wall = _sharded_drain(networks)
 
     # bit-identity: same terminal states and outputs, job by job
-    serial_snap = _snapshot(serial_service)
+    serial_snap = {}
+    for service in serial_services:
+        serial_snap.update(_snapshot(service))
     sharded_snap = _snapshot(sharded_service)
     assert sharded_snap == serial_snap, "sharded drain diverged from serial"
     # …and the registries hold byte-identical artifacts per fingerprint
-    for fingerprint in serial_snap:
-        serial_art = serial_service.registry.get(fingerprint)
-        sharded_art = sharded_service.registry.get(fingerprint)
-        assert sharded_art.outputs == serial_art.outputs
+    for service in serial_services:
+        for fingerprint in _snapshot(service):
+            serial_art = service.registry.get(fingerprint)
+            sharded_art = sharded_service.registry.get(fingerprint)
+            assert sharded_art.outputs == serial_art.outputs
     # zero duplicate executions on either leg
-    assert serial_service.registry.stores == total_jobs
+    assert sum(s.registry.stores for s in serial_services) == total_jobs
     assert sharded_service.registry.stores == total_jobs
 
     # structural throughput: serial pays the sum of every batch, the
@@ -206,7 +213,7 @@ def test_e23_sharded_serve(benchmark, results_dir):
 
     rows = [
         [
-            "serial single-queue",
+            "serial, one network at a time",
             1,
             len(batch_costs),
             f"{serial_cost * 1e3:.1f}",
@@ -275,7 +282,8 @@ def test_e23_sharded_serve(benchmark, results_dir):
         f"path {critical_path * 1e3:.1f}ms over {len(waves)} wave(s))"
     )
 
-    serial_service.shutdown(drain=False)
+    for service in serial_services:
+        service.shutdown(drain=False)
     sharded_service.shutdown(drain=False)
 
     benchmark.pedantic(

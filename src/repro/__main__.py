@@ -477,8 +477,9 @@ def _serve_cli(args) -> int:
     from repro.parallel import ParallelRunner
     from repro.service import (
         AdmissionPolicy,
+        LegacyJournalError,
+        SchedulerService,
         ServeLoop,
-        ShardedSchedulerService,
         parse_algorithm,
         parse_network,
     )
@@ -489,7 +490,11 @@ def _serve_cli(args) -> int:
 
     # Pre-flight without opening (and thus repairing) any journal:
     # unfinished jobs from a crashed serve belong to --resume.
-    pending = ShardedSchedulerService.pending_jobs(base)
+    try:
+        pending = SchedulerService.pending_jobs(base)
+    except LegacyJournalError as exc:
+        print(exc)
+        return 1
     if pending and not getattr(args, "resume", False):
         flat = [jid for ids in pending.values() for jid in ids]
         preview = ", ".join(flat[:5]) + ("..." if len(flat) > 5 else "")
@@ -523,7 +528,7 @@ def _serve_cli(args) -> int:
         fsync=args.fsync,
     )
     if resuming:
-        service = ShardedSchedulerService.recover(base, **kwargs)
+        service = SchedulerService.recover(base, **kwargs)
         recovered = sum(
             1 for job in service.jobs() if job.meta.get("recovered")
         )
@@ -532,7 +537,7 @@ def _serve_cli(args) -> int:
             f"{len(service.shards)} shard journal(s) under {base}"
         )
     else:
-        service = ShardedSchedulerService(directory=base, **kwargs)
+        service = SchedulerService(directory=base, **kwargs)
     state = _read_state(base)
     # Spool files already journaled by a crashed serve belong to
     # recovery, not resubmission; everything else is submitted fresh.

@@ -6,9 +6,12 @@ compatible jobs into single near-optimal workload executions, query job
 states at any time, and have every result persisted content-addressed
 so resubmissions never re-execute.
 
-* :class:`SchedulerService` — the service: admission, batching,
-  resilient execution with per-job retries, registry integration,
-  ``service.*`` telemetry, graceful drain/shutdown;
+* :class:`SchedulerService` — the service: per-network :class:`Shard`
+  routing (:func:`shard_key`), admission, batching, wave drains over
+  one process pool, resilient execution with per-job retries, registry
+  integration, cross-shard ``stats()``, ``service.*`` telemetry,
+  graceful drain/shutdown (``ShardedSchedulerService`` is the same
+  class under its older name);
 * :class:`JobQueue` / :class:`Job` / :class:`JobState` — the queue and
   the job lifecycle (``queued → batched → running → done/failed``, with
   ``rejected``/``parked`` at admission);
@@ -25,11 +28,6 @@ so resubmissions never re-execute.
   against the registry) after a crash — see the ``Durability &
   recovery`` section of ``docs/SERVICE.md`` and :data:`CRASH_POINTS`
   for the injection points that keep the contract tested;
-* :class:`ShardedSchedulerService` / :func:`shard_key` — per-network
-  shards, each with its own queue, journal segment, and event log,
-  drained concurrently over one process pool, with cross-shard
-  ``stats()`` merged by the documented metric rules and per-shard
-  backpressure via :class:`AdmissionPolicy` (``max_shard_depth``);
 * :class:`ServeLoop` — the poll → drain → checkpoint daemon behind
   ``python -m repro serve --follow``: graceful SIGTERM/SIGINT (finish
   the in-flight wave, checkpoint, exit), periodic journal compaction;
@@ -50,8 +48,16 @@ from .events import (
 from .jobs import Job, JobResult, JobState, job_fingerprint
 from .journal import JobJournal, JournalState, read_journal
 from .registry import RunArtifact, RunRegistry
-from .service import CRASH_POINTS, JobQueue, SchedulerService, ServiceClosed
-from .sharding import LEGACY_SHARD, ShardedSchedulerService, shard_key
+from .service import (
+    CRASH_POINTS,
+    JobQueue,
+    LegacyJournalError,
+    SchedulerService,
+    ServiceClosed,
+    Shard,
+    shard_key,
+)
+from .sharding import ShardedSchedulerService
 from .specs import (
     format_fault_plan,
     parse_algorithm,
@@ -74,13 +80,14 @@ __all__ = [
     "JobResult",
     "JobState",
     "JournalState",
-    "LEGACY_SHARD",
     "LatencyAccumulator",
+    "LegacyJournalError",
     "RunArtifact",
     "RunRegistry",
     "SchedulerService",
     "ServeLoop",
     "ServiceClosed",
+    "Shard",
     "ShardedSchedulerService",
     "format_fault_plan",
     "job_fingerprint",

@@ -62,15 +62,15 @@ class AdmissionPolicy:
         size.
     max_queue_depth:
         Bound on jobs waiting in the queue (queued + parked); further
-        submissions are rejected until the backlog drains. In a sharded
-        service this gate judges the backlog summed across *all*
+        submissions are rejected until the backlog drains. The service
+        judges this gate against the backlog summed across *all*
         shards. ``None`` never sheds.
     park_over_budget:
         Park over-budget jobs (state ``parked``, releasable later)
         instead of rejecting them.
     max_shard_depth:
         Per-shard backpressure: bound on the backlog of the single
-        shard (or standalone queue) a submission would land in. A
+        shard a submission would land in. A
         submission to a shard at capacity is shed (rejected) — or
         parked when ``park_over_depth`` is set, to be released once the
         hot shard drains — while submissions to other shards are
@@ -102,8 +102,8 @@ class AdmissionPolicy:
     ) -> AdmissionDecision:
         """Decide whether a probed job may enter the queue.
 
-        ``queue_depth`` is the global backlog (summed across shards in
-        a sharded service); ``shard_depth`` is the backlog of the shard
+        ``queue_depth`` is the global backlog (summed across shards);
+        ``shard_depth`` is the backlog of the shard
         the job would join, or ``None`` when the caller has no shard
         notion (then the per-shard gate is skipped).
         """

@@ -1,6 +1,6 @@
 """The serve-loop daemon: poll, drain, checkpoint, stop cleanly.
 
-:class:`ServeLoop` wraps a service (sharded or single-queue) in the
+:class:`ServeLoop` wraps a scheduling service in the
 long-running shape ``python -m repro serve --follow`` needs:
 
 * each iteration *polls* for new work (the CLI's poll hook submits
@@ -48,7 +48,7 @@ class ServeLoop:
     ----------
     service:
         Anything with ``drain(stop=...)`` and ``release_parked(cause=
-        ...)`` — a :class:`~repro.service.sharding.ShardedSchedulerService`
+        ...)`` — a :class:`~repro.service.service.SchedulerService`
         in production, a stub in tests.
     poll:
         Called once per iteration to ingest new work (the CLI submits

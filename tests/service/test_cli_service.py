@@ -299,6 +299,24 @@ class TestCrashRecoveryCli:
         assert entry["state"] == "done"
         assert entry["from_registry"] is True
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_serve_refuses_pre_sharding_journal(self, tmp_path, capsys, resume):
+        """A non-empty top-level journal.jsonl is named, never dropped."""
+        from repro.service import JobJournal
+
+        self._spool(capsys, tmp_path, 1)
+        legacy = tmp_path / "journal.jsonl"
+        journal = JobJournal(legacy)
+        journal.append("submit", job="j0001", fingerprint=None, payload=None)
+        journal.close()
+        argv = ["serve", "--dir", str(tmp_path)] + (["--resume"] if resume else [])
+        code, out = _run(capsys, *argv)
+        assert code == 1
+        assert str(legacy) in out
+        # Nothing was served: the spooled job is still waiting.
+        assert list((tmp_path / "spool").glob("*.json"))
+        assert not (tmp_path / "shards").exists()
+
     def test_resume_without_pending_work_is_clean(self, tmp_path, capsys):
         self._spool(capsys, tmp_path, 1)
         assert _run(capsys, "serve", "--dir", str(tmp_path))[0] == 0

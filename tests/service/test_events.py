@@ -14,6 +14,7 @@ from repro.service import (
     SchedulerService,
     latency_stats,
     read_events,
+    shard_key,
 )
 
 
@@ -224,33 +225,45 @@ class TestLatencyStats:
         assert stats["jobs_per_sec"] == pytest.approx(1 / 20.0)
 
 
+def _log(service, network=None):
+    """The event log of ``network``'s shard (the only shard by default)."""
+    if network is None:
+        [shard] = service.shards.values()
+    else:
+        shard = service.shards[shard_key(network)]
+    return shard.events
+
+
 class TestServiceIntegration:
-    def _serve(self, events):
-        network = topology.grid_graph(4, 4)
+    NETWORK = topology.grid_graph(4, 4)
+
+    def _serve(self, events, directory=None):
         service = SchedulerService(
-            batch_size=2, solo_cache=SoloRunCache(), events=events
+            directory=directory,
+            batch_size=2,
+            solo_cache=SoloRunCache(),
+            events=events,
         )
         service.submit_many(
-            network, [BFS(0, hops=3), BFS(5, hops=3), BFS(10, hops=3)]
+            self.NETWORK, [BFS(0, hops=3), BFS(5, hops=3), BFS(10, hops=3)]
         )
         service.shutdown(drain=True)
         return service
 
     def test_lifecycle_events_emitted_in_order(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        service = self._serve(EventLog(path))
-        kinds = [e.kind for e in service.events.events]
+        service = self._serve("auto", directory=tmp_path)
+        path = tmp_path / "shards" / shard_key(self.NETWORK) / "events.jsonl"
+        log = _log(service)
+        kinds = [e.kind for e in log.events]
         assert kinds.count("submitted") == 3
         assert kinds.count("admitted") == 3
         assert kinds.count("batched") == 3
         assert kinds.count("done") == 3
         for job_id in ("j0001", "j0002", "j0003"):
-            job_kinds = [
-                e.kind for e in service.events.events if e.job_id == job_id
-            ]
+            job_kinds = [e.kind for e in log.events if e.job_id == job_id]
             assert job_kinds == ["submitted", "admitted", "batched", "done"]
         # the spool file holds the exact same stream
-        assert read_events(path) == service.events.events
+        assert read_events(path) == log.events
 
     def test_stats_latency_block(self):
         service = self._serve("memory")
@@ -263,7 +276,7 @@ class TestServiceIntegration:
             <= latency["e2e_latency_s"]["p99"]
         )
         assert latency["jobs_per_sec"] > 0
-        assert stats["events"] == len(service.events)
+        assert stats["events"] == len(_log(service))
 
     def test_registry_hit_emits_done_with_marker(self):
         network = topology.grid_graph(4, 4)
@@ -274,13 +287,13 @@ class TestServiceIntegration:
         service.drain()
         job = service.submit(network, BFS(0, hops=3))
         assert job.result.from_registry
-        hit = service.events.events[-1]
+        hit = _log(service).events[-1]
         assert hit.kind == "done"
         assert hit.attrs.get("from_registry") is True
 
     def test_events_none_disables_everything(self):
         service = self._serve(None)
-        assert service.events is None
+        assert _log(service) is None
         stats = service.stats()
         assert stats["latency"] is None
         assert stats["events"] == 0
@@ -329,9 +342,10 @@ class TestServiceIntegration:
         )
         [job] = recovered.jobs()
         assert job.state is JobState.QUARANTINED
-        assert recovered.events.events[-1].kind == "quarantined"
+        events = _log(recovered).events
+        assert events[-1].kind == "quarantined"
 
-        stats = latency_stats(recovered.events.events)
+        stats = latency_stats(events)
         assert stats["quarantined"] == 1
         assert stats["completed"] == 0
         latency = recovered.stats()["latency"]

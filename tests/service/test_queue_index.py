@@ -143,7 +143,7 @@ class TestIndexedQueueEquivalence:
                 got = new.next_batch(op[1])
                 want = old.next_batch(op[1])
                 assert [j.job_id for j in got] == [j.job_id for j in want]
-                # Mirror _next_workload: popped jobs leave QUEUED.
+                # Mirror the service staging a batch: popped jobs leave QUEUED.
                 for job in got:
                     job.transition(JobState.BATCHED)
                     popped_new.append(job)

@@ -1,10 +1,12 @@
 """Crash recovery: the service's exactly-once contract, enforced.
 
 The matrix test kills the service (via in-process
-:class:`~repro.faults.InjectedCrash`) at *every* named crash point,
-recovers from the journal, drains, and asserts the recovered terminal
-state is identical to an uninterrupted run: same states, bit-identical
-outputs, no acknowledged completion executed twice.
+:class:`~repro.faults.InjectedCrash`) at *every* named crash point and
+hit count, over a one-network stream (one shard) and a three-network
+stream (three shard journals), recovers from the journals, drains, and
+asserts the recovered terminal state is identical to an uninterrupted
+run: same states, bit-identical outputs, no acknowledged completion
+executed twice.
 """
 
 import pytest
@@ -18,9 +20,7 @@ from repro.parallel import SoloRunCache
 from repro.service import (
     CRASH_POINTS,
     AdmissionPolicy,
-    JobJournal,
     JobState,
-    RunRegistry,
     SchedulerService,
     job_fingerprint,
 )
@@ -50,22 +50,39 @@ def _algorithms(network, count=4):
     return out
 
 
-def _run(directory, network, crash=None, hit=1, **kwargs):
+def _one_network():
+    grid = topology.grid_graph(4, 4)
+    return [(grid, algorithm) for algorithm in _algorithms(grid)]
+
+
+def _three_networks():
+    return [
+        (network, algorithm)
+        for network in (topology.cycle_graph(5 + n) for n in range(3))
+        for algorithm in _algorithms(network, count=3)
+    ]
+
+
+#: Job streams the crash matrix runs: one shard, and three shards.
+STREAMS = {"one-network": _one_network, "three-networks": _three_networks}
+
+
+def _run(directory, stream, crash=None, hit=1, **kwargs):
     """One service run; returns the service, or None if it crashed."""
     kwargs.setdefault("batch_size", 2)
-    service = SchedulerService(
-        journal=JobJournal(directory / "journal.jsonl"),
-        registry=RunRegistry(directory / "registry"),
-        **kwargs,
-    )
+    service = SchedulerService(directory=directory, **kwargs)
+
+    def serve():
+        for network, algorithm in stream:
+            service.submit(network, algorithm)
+        service.drain()
+
     try:
         if crash is not None:
             with armed(crash, hit=hit):
-                service.submit_many(network, _algorithms(network))
-                service.drain()
+                serve()
         else:
-            service.submit_many(network, _algorithms(network))
-            service.drain()
+            serve()
     except InjectedCrash:
         # The process is considered dead: nothing in-memory survives,
         # only journal + registry + events on disk.
@@ -86,15 +103,21 @@ def _terminal_snapshot(service):
     return snap
 
 
+def _journal_seq(service):
+    return sum(shard.journal.seq for shard in service.shards.values())
+
+
 class TestCrashMatrix:
+    @pytest.mark.parametrize("stream_name", sorted(STREAMS))
     @pytest.mark.parametrize("point", CRASH_POINTS)
     @pytest.mark.parametrize("hit", [1, 2])
     def test_kill_recover_drain_matches_uninterrupted(
-        self, tmp_path, grid, point, hit
+        self, tmp_path, point, hit, stream_name
     ):
+        stream = STREAMS[stream_name]()
         baseline_dir = tmp_path / "baseline"
         baseline_dir.mkdir()
-        baseline = _run(baseline_dir, grid)
+        baseline = _run(baseline_dir, stream)
         expected = _terminal_snapshot(baseline)
         assert all(
             state == JobState.DONE.value for state, _, _ in expected.values()
@@ -102,7 +125,7 @@ class TestCrashMatrix:
 
         crash_dir = tmp_path / "crash"
         crash_dir.mkdir()
-        crashed = _run(crash_dir, grid, crash=point, hit=hit)
+        crashed = _run(crash_dir, stream, crash=point, hit=hit)
         if crashed is not None:
             # The point never reached this hit count in a full run;
             # the run is itself the uninterrupted execution.
@@ -120,16 +143,12 @@ class TestCrashMatrix:
         # CLI's spool replay does. Every journaled job must have
         # survived recovery.
         have = {job.fingerprint for job in recovered.jobs()}
-        lost = [
-            algorithm
-            for algorithm in _algorithms(grid)
-            if job_fingerprint(
-                grid, algorithm, 0, default_message_bits(grid.num_nodes)
+        for network, algorithm in stream:
+            fingerprint = job_fingerprint(
+                network, algorithm, 0, default_message_bits(network.num_nodes)
             )
-            not in have
-        ]
-        for algorithm in lost:
-            recovered.submit(grid, algorithm)
+            if fingerprint not in have:
+                recovered.submit(network, algorithm)
         recovered.drain()
         assert _terminal_snapshot(recovered) == expected
         # Exactly-once: a completion acknowledged before the crash was
@@ -149,7 +168,7 @@ class TestCrashMatrix:
     )
     def test_acknowledged_job_not_reexecuted(self, tmp_path, grid, point):
         """Crash after registry.put: recovery finishes the paperwork only."""
-        assert _run(tmp_path, grid, crash=point, hit=1) is None
+        assert _run(tmp_path, _one_network(), crash=point, hit=1) is None
         recovered = SchedulerService.recover(directory=tmp_path)
         done = [
             job for job in recovered.jobs() if job.state is JobState.DONE
@@ -163,7 +182,10 @@ class TestCrashMatrix:
     def test_crash_before_journal_loses_unacknowledged_submit(
         self, tmp_path, grid
     ):
-        assert _run(tmp_path, grid, crash="submit.pre_journal", hit=1) is None
+        assert (
+            _run(tmp_path, _one_network(), crash="submit.pre_journal", hit=1)
+            is None
+        )
         recovered = SchedulerService.recover(directory=tmp_path)
         # The submission never became durable, so it legitimately
         # vanished — but nothing else leaked into the journal either.
@@ -176,13 +198,14 @@ class TestCrashMatrix:
 class TestRecoverIdempotence:
     def test_recover_twice_equals_recover_once(self, tmp_path, grid):
         assert (
-            _run(tmp_path, grid, crash="complete.pre_registry", hit=2) is None
+            _run(tmp_path, _one_network(), crash="complete.pre_registry", hit=2)
+            is None
         )
         first = SchedulerService.recover(directory=tmp_path)
         snap_once = {
             job.job_id: job.state.value for job in first.jobs()
         }
-        seq_once = first.journal.seq
+        seq_once = _journal_seq(first)
         first.shutdown(drain=False)
 
         second = SchedulerService.recover(directory=tmp_path)
@@ -192,14 +215,19 @@ class TestRecoverIdempotence:
         assert snap_twice == snap_once
         # The first recovery journaled its decisions; the second found
         # nothing new to decide.
-        assert second.journal.seq == seq_once
+        assert _journal_seq(second) == seq_once
         second.shutdown(drain=False)
 
-    def test_replay_journal_on_live_service_is_noop(self, tmp_path, grid):
-        service = _run(tmp_path, grid)
+    def test_replay_journal_on_live_service_is_noop(self, tmp_path):
+        """Replaying a cleanly finished serve decides nothing new."""
+        service = _run(tmp_path, _three_networks())
         before = {job.job_id: job.state for job in service.jobs()}
-        service._replay_journal()
-        assert {job.job_id: job.state for job in service.jobs()} == before
+        seq = _journal_seq(service)
+        replayed = SchedulerService.recover(directory=tmp_path)
+        assert {job.job_id: job.state for job in replayed.jobs()} == before
+        assert _journal_seq(replayed) == seq
+        assert replayed.reports == []
+        replayed.shutdown(drain=False)
 
 
 class TestParkedRecovery:
@@ -209,8 +237,7 @@ class TestParkedRecovery:
 
     def _park_one(self, tmp_path, grid):
         service = SchedulerService(
-            journal=JobJournal(tmp_path / "journal.jsonl"),
-            registry=RunRegistry(tmp_path / "registry"),
+            directory=tmp_path,
             policy=AdmissionPolicy(**self._PARKING),
             solo_cache=SoloRunCache(),
         )

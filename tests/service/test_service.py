@@ -120,14 +120,19 @@ class TestBatching:
         service.drain()
         assert service.stats()["batches"] == 2
 
-    def test_run_once_takes_one_batch(self, grid):
+    def test_batches_take_fifo_chunks_of_batch_size(self, grid):
         service = SchedulerService(batch_size=2, solo_cache=SoloRunCache())
         jobs = service.submit_many(grid, _job_stream(grid, 5))
-        first = service.run_once()
-        assert [j.job_id for j in first] == [j.job_id for j in jobs[:2]]
-        assert service.queue.depth == 3
-        assert service.run_once() and service.run_once()
-        assert service.run_once() == []
+        # A drain told to stop before its first wave executes nothing.
+        assert service.drain(stop=lambda: True) == []
+        assert service.stats()["queue_depth"] == 5
+        processed = service.drain()
+        assert [j.job_id for j in processed] == [j.job_id for j in jobs]
+        assert [j.meta["batch"] for j in jobs] == [
+            "b0001", "b0001", "b0002", "b0002", "b0003",
+        ]
+        assert service.stats()["queue_depth"] == 0
+        assert service.drain() == []
 
 
 class TestAdmission:

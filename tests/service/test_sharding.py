@@ -1,23 +1,24 @@
-"""ShardedSchedulerService: routing, bit-identity, backpressure, stats.
+"""Per-network shards: routing, bit-identity, backpressure, stats.
 
-The sharded service is a *transparent* restructuring of the single
-queue: same submissions in, byte-identical terminal states, outputs,
-and registry contents out. These tests pin that contract:
+Sharding is a *transparent* restructuring: a multi-network stream
+drained through one service gives the byte-identical terminal states,
+outputs, and registry contents that draining each network's jobs alone
+gives. These tests pin that contract:
 
 * routing — jobs land in per-network shards keyed by the network
   fingerprint (``==``-equal rebuilt networks share a shard);
-* bit-identity — a sharded concurrent drain of a multi-network
-  workload settles every job exactly like one single-queue service
-  draining the same submissions serially, with zero duplicate
-  executions (registry stores are counted);
+* bit-identity — a wave drain of a multi-network workload settles every
+  job exactly like per-network services draining their own jobs, with
+  zero duplicate executions (registry stores are counted);
 * backpressure — ``max_shard_depth`` parks/sheds on the hot shard
   only, and ``release_parked(cause="depth")`` frees exactly the
   backpressure-parked jobs;
-* cross-shard stats — merged per-shard recorders and latency sketches
-  equal the single-queue run's, under the documented merge rules
-  (counters add, gauges element-wise max, histogram buckets add);
-* crash recovery — the full :data:`CRASH_POINTS` matrix against the
-  sharded service recovers byte-identically per shard.
+* cross-shard stats — counters, batch counts and latency sketches add
+  across shards;
+* recovery — pending submissions are re-decided against every shard's
+  backlog, and a pre-sharding top-level journal is refused. (The
+  :data:`CRASH_POINTS` matrix over one- and multi-network streams lives
+  in ``test_recovery.py``.)
 """
 
 import pytest
@@ -27,10 +28,11 @@ from repro.congest import solo_run, topology
 from repro.faults import InjectedCrash, armed, disarm
 from repro.parallel import SoloRunCache
 from repro.service import (
-    CRASH_POINTS,
     AdmissionPolicy,
+    JobJournal,
     JobState,
     LatencyAccumulator,
+    LegacyJournalError,
     SchedulerService,
     ShardedSchedulerService,
     latency_stats,
@@ -104,8 +106,7 @@ class TestRouting:
         # …and the two jobs batch together inside that shard.
         done = service.drain()
         assert len(done) == 2
-        shard = next(iter(service.shards.values()))
-        assert shard._batch_counter == 1
+        assert service.stats()["shards"][shard_key(a)]["batches"] == 1
         service.shutdown()
 
     def test_submit_many_and_status_lookup(self):
@@ -125,10 +126,16 @@ class TestBitIdentity:
     def test_sharded_drain_matches_single_queue_serial_drain(self, tmp_path):
         nets = _networks(4)
 
-        single = SchedulerService(batch_size=4, solo_cache=SoloRunCache())
-        _submit_all(single, nets)
-        single.shutdown(drain=True)
-        expected = _terminal_snapshot(single)
+        # The witness: each network's jobs drained alone by its own
+        # service (one shard, one queue).
+        expected = {}
+        stores = 0
+        for net in nets:
+            single = SchedulerService(batch_size=4, solo_cache=SoloRunCache())
+            _submit_all(single, [net])
+            single.shutdown(drain=True)
+            expected.update(_terminal_snapshot(single))
+            stores += single.registry.stores
         assert all(s == "done" for s, _, _ in expected.values())
 
         sharded = ShardedSchedulerService(
@@ -142,7 +149,7 @@ class TestBitIdentity:
         assert _terminal_snapshot(sharded) == expected
         # Zero duplicate executions: every unique job stored exactly once.
         assert sharded.registry.stores == len(jobs)
-        assert single.registry.stores == len(jobs)
+        assert stores == len(jobs)
 
     def test_outputs_match_solo_references(self):
         nets = _networks(2)
@@ -275,59 +282,53 @@ class TestCrossShardStats:
     def test_merged_stats_equal_single_queue_run(self):
         nets = _networks(3)
 
-        single_rec = InMemoryRecorder()
-        single = SchedulerService(
-            batch_size=4, solo_cache=SoloRunCache(), recorder=single_rec
-        )
-        _submit_all(single, nets)
-        single.drain()
-        single_stats = single.stats()
+        # Each network drained alone by its own service.
+        singles = []
+        for net in nets:
+            single = SchedulerService(batch_size=4, solo_cache=SoloRunCache())
+            _submit_all(single, [net])
+            single.drain()
+            singles.append(single.stats())
 
-        sharded = ShardedSchedulerService(
-            batch_size=4, solo_cache=SoloRunCache(), per_shard_recorders=True
-        )
+        sharded = SchedulerService(batch_size=4, solo_cache=SoloRunCache())
         _submit_all(sharded, nets)
         sharded.drain()
         stats = sharded.stats()
 
-        assert stats["jobs"] == single_stats["jobs"]
-        assert stats["batches"] == single_stats["batches"]
-        assert stats["engine_counters"] == single_stats["engine_counters"]
+        def total(get):
+            return sum(get(single) for single in singles)
+
+        for state, count in stats["jobs"].items():
+            assert count == total(lambda st: st["jobs"][state])
+        assert stats["batches"] == total(lambda st: st["batches"])
+        for name, value in stats["engine_counters"].items():
+            assert value == total(lambda st: st["engine_counters"][name])
         latency = stats["latency"]
-        # Histogram buckets add: merged counts equal the single run's.
+        # Histogram buckets add: merged counts equal the summed runs'.
         for key in ("queue_latency_s", "e2e_latency_s"):
-            assert (
-                latency[key]["count"] == single_stats["latency"][key]["count"]
+            assert latency[key]["count"] == total(
+                lambda st: st["latency"][key]["count"]
             )
-        assert latency["completed"] == single_stats["latency"]["completed"]
-        assert latency["events"] == single_stats["latency"]["events"]
-        single.shutdown(drain=False)
+        for key in ("completed", "events"):
+            assert latency[key] == total(lambda st: st["latency"][key])
         sharded.shutdown(drain=False)
 
     def test_merged_recorder_counters_add(self):
         nets = _networks(3)
-        sharded = ShardedSchedulerService(
-            batch_size=4, solo_cache=SoloRunCache(), per_shard_recorders=True
+        recorder = InMemoryRecorder()
+        sharded = SchedulerService(
+            batch_size=4, solo_cache=SoloRunCache(), recorder=recorder
         )
         jobs = _submit_all(sharded, nets)
         sharded.drain()
-        merged = sharded.merged_metrics()
-        snapshot = merged.snapshot()
+        snapshot = recorder.snapshot()
         assert snapshot["counters"]["service.submitted"] == len(jobs)
         assert snapshot["counters"]["service.jobs_done"] == len(jobs)
-        # Gauges merge element-wise max: depth peaked at the hottest
-        # shard's peak, not the sum of the shards.
-        peak = max(
-            rec.metrics.snapshot()["gauges"]["service.queue_depth"]
-            for rec in sharded._shard_recorders.values()
-        )
-        assert snapshot["gauges"]["service.queue_depth"] == peak
-        # Histograms merge bucket-wise: batch sizes from all shards.
+        # The depth gauge tracks the queued total across shards.
+        assert snapshot["gauges"]["service.queue_depth"] == 0
+        # One histogram sample per batch, whichever shard formed it.
         hist = snapshot["histograms"]["service.batch_size"]
-        assert hist["count"] == sum(
-            rec.metrics.snapshot()["histograms"]["service.batch_size"]["count"]
-            for rec in sharded._shard_recorders.values()
-        )
+        assert hist["count"] == sharded.stats()["batches"] == len(nets)
         sharded.shutdown(drain=False)
 
     def test_latency_accumulator_merge_equals_concatenated_stream(self):
@@ -349,75 +350,6 @@ class TestCrossShardStats:
 
 
 class TestShardedRecovery:
-    def _baseline(self, tmp_path, nets):
-        directory = tmp_path / "baseline"
-        service = ShardedSchedulerService(
-            directory=directory, batch_size=2, solo_cache=SoloRunCache()
-        )
-        _submit_all(service, nets)
-        service.drain()
-        service.shutdown(drain=False)
-        return _terminal_snapshot(service)
-
-    @pytest.mark.parametrize("point", CRASH_POINTS)
-    def test_crash_matrix_recovers_byte_identically(self, tmp_path, point):
-        from repro.congest import default_message_bits
-        from repro.service import job_fingerprint
-
-        nets = _networks(2)
-        expected = self._baseline(tmp_path, nets)
-        assert all(s == "done" for s, _, _ in expected.values())
-
-        directory = tmp_path / "crashed"
-        service = ShardedSchedulerService(
-            directory=directory, batch_size=2, solo_cache=SoloRunCache()
-        )
-        crashed = False
-        try:
-            with armed(point, hit=2):
-                _submit_all(service, nets)
-                service.drain()
-        except InjectedCrash:
-            crashed = True
-        disarm()
-        if not crashed:
-            # The point never reached hit 2 in this workload; the run
-            # is itself the uninterrupted execution.
-            service.shutdown(drain=False)
-            assert _terminal_snapshot(service) == expected
-            return
-
-        recovered = ShardedSchedulerService.recover(
-            directory, batch_size=2, solo_cache=SoloRunCache()
-        )
-        acknowledged = {
-            job.fingerprint
-            for job in recovered.jobs()
-            if job.result is not None and job.result.from_registry
-        }
-        # A submission the crash caught before its journal record was
-        # never acknowledged — resubmit it, exactly like the CLI's
-        # spool replay does.
-        have = {job.fingerprint for job in recovered.jobs()}
-        for net in nets:
-            for algorithm in _algorithms(net):
-                fp = job_fingerprint(
-                    net, algorithm, 0, default_message_bits(net.num_nodes)
-                )
-                if fp not in have:
-                    recovered.submit(net, algorithm)
-        recovered.drain()
-        assert _terminal_snapshot(recovered) == expected
-        # Exactly-once per shard: a completion acknowledged before the
-        # crash is served from the registry, never executed again.
-        for job in recovered.jobs():
-            if job.fingerprint in acknowledged:
-                assert job.result.from_registry
-        assert recovered.registry.stats()["stores"] == len(expected) - len(
-            acknowledged
-        )
-        recovered.shutdown(drain=False)
-
     def test_recover_twice_converges(self, tmp_path):
         nets = _networks(2)
         directory = tmp_path / "svc"
@@ -450,29 +382,58 @@ class TestShardedRecovery:
         )
         second.shutdown(drain=False)
 
-    def test_legacy_single_journal_adopted(self, tmp_path):
-        net = _networks(1)[0]
-        from repro.service import JobJournal, RunRegistry
+    @pytest.mark.parametrize("crashed_shard", ["sorts-first", "sorts-last"])
+    def test_pending_submission_judged_against_every_shard(
+        self, tmp_path, crashed_shard
+    ):
+        """Regression: recovery re-admitted against a partial backlog.
 
-        legacy = SchedulerService(
-            journal=JobJournal(tmp_path / "journal.jsonl"),
-            registry=RunRegistry(tmp_path / "registry"),
-            batch_size=2,
-            solo_cache=SoloRunCache(),
+        Two jobs queue on one shard; the third submission, to another
+        shard, crashes right after its ``submit`` record. Uninterrupted,
+        the global ``max_queue_depth=2`` gate rejects it. Recovery must
+        reach the same decision whichever shard key sorts first: shard
+        journals used to be replayed one at a time, so the crashed job
+        was re-admitted against only the shards loaded before it.
+        """
+        by_key = sorted(_networks(4), key=shard_key)
+        crashed, busy = (
+            (by_key[0], by_key[-1])
+            if crashed_shard == "sorts-first"
+            else (by_key[-1], by_key[0])
         )
-        legacy.submit(net, BFS(0, hops=2))
-        # Leave it pending (no drain): a crashed pre-sharding serve.
-        legacy.journal.flush()
+        policy = AdmissionPolicy(max_queue_depth=2)
+        baseline = ShardedSchedulerService(policy=policy, solo_cache=SoloRunCache())
+        baseline.submit(busy, BFS(0, hops=2))
+        baseline.submit(busy, BFS(1, hops=2))
+        assert baseline.submit(crashed, BFS(0, hops=2)).state is JobState.REJECTED
 
-        assert "legacy" in ShardedSchedulerService.pending_jobs(tmp_path)
+        directory = tmp_path / "svc"
+        service = ShardedSchedulerService(
+            directory=directory, policy=policy, solo_cache=SoloRunCache()
+        )
+        service.submit(busy, BFS(0, hops=2))
+        service.submit(busy, BFS(1, hops=2))
+        with pytest.raises(InjectedCrash):
+            with armed("submit.post_journal", hit=1):
+                service.submit(crashed, BFS(0, hops=2))
+        disarm()
         recovered = ShardedSchedulerService.recover(
-            tmp_path, batch_size=2, solo_cache=SoloRunCache()
+            directory, policy=policy, solo_cache=SoloRunCache()
         )
-        assert "legacy" in recovered.shards
-        recovered.drain()
-        assert all(j.state is JobState.DONE for j in recovered.jobs())
-        # New submissions keep routing to fingerprint shards.
-        job = recovered.submit(net, BFS(1, hops=2))
-        assert job.meta["shard"] == shard_key(net)
-        recovered.drain()
+        states = [job.state for job in recovered.jobs()]
+        assert states == [JobState.QUEUED, JobState.QUEUED, JobState.REJECTED]
         recovered.shutdown(drain=False)
+
+    def test_legacy_single_journal_refused(self, tmp_path):
+        """A pre-sharding ``<dir>/journal.jsonl`` is refused, not ignored."""
+        legacy = tmp_path / "journal.jsonl"
+        legacy.touch()
+        # An empty legacy file records nothing: nothing to refuse.
+        assert SchedulerService.pending_jobs(tmp_path) == {}
+        journal = JobJournal(legacy)
+        journal.append("submit", job="j0001", fingerprint=None, payload=None)
+        journal.close()
+        with pytest.raises(LegacyJournalError, match=str(legacy)):
+            SchedulerService.pending_jobs(tmp_path)
+        with pytest.raises(LegacyJournalError, match=str(legacy)):
+            SchedulerService.recover(tmp_path)
