@@ -15,6 +15,9 @@ We model this with two classes:
   once per algorithm-round with that round's inbox. Programs send by calling
   :meth:`NodeContext.send`, which buffers messages for the next round.
 
+Every engine drives programs the same way, through one
+:class:`HostGroup` per (algorithm, node subset).
+
 This pull-based design is what lets schedulers remap algorithm-rounds onto
 arbitrary physical rounds (random start delays, big-rounds, truncated
 cluster copies) without the algorithm noticing — the paper's requirement
@@ -31,8 +34,11 @@ behaves identically given identical inbox histories.
 from __future__ import annotations
 
 import random
+import sys
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, List, Mapping, Optional, Tuple, Union
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Sequence, Tuple, Union
 
 from ..errors import BandwidthViolation
 from .._util import derive_seed
@@ -44,6 +50,7 @@ __all__ = [
     "NodeContext",
     "NodeProgram",
     "Algorithm",
+    "HostGroup",
     "ProgramHost",
     "Send",
 ]
@@ -252,12 +259,10 @@ class Algorithm(ABC):
 class ProgramHost:
     """Drives one (algorithm, node) program on behalf of an engine.
 
-    Engines never touch :class:`NodeProgram` directly; they create one host
-    per participating node and call :meth:`start` once and :meth:`step` once
-    per algorithm-round, collecting the buffered sends. This indirection is
-    shared by the solo simulator and by every scheduler engine, so an
-    algorithm sees exactly the same driving protocol no matter how it is
-    being scheduled.
+    Engines never touch :class:`NodeProgram` directly: a
+    :class:`HostGroup` creates one host per participating node and calls
+    :meth:`start` once and :meth:`step` once per algorithm-round,
+    collecting the buffered sends.
     """
 
     __slots__ = ("node", "ctx", "program", "_started")
@@ -314,3 +319,84 @@ class ProgramHost:
     def output(self) -> Any:
         """The underlying program's output."""
         return self.program.output()
+
+
+class HostGroup:
+    """One algorithm driven on a node subset: the single stepping core.
+
+    Every engine drives its programs through groups, so an algorithm sees
+    one driving protocol however it is scheduled. A group builds one
+    :class:`ProgramHost` per node with the tape
+    ``seed_for(master_seed, tape_id, node)`` (``tapes``, when given, is a
+    ``(tape_id, node) -> seed`` memo shared by copies of one algorithm)
+    and owns the *live set*, in ``nodes`` order. A host leaves it for good
+    when it halts, once it has stepped round ``limits[i]`` (optional, per
+    node; ``step`` then runs rounds ``1, 2, …`` in order), or when
+    ``injector.crashed(node, crash_tick)`` holds. All three are monotone.
+    """
+
+    __slots__ = ("hosts", "_crashed", "_live")
+
+    def __init__(
+        self,
+        algorithm: Algorithm,
+        network: Network,
+        nodes: Iterable[int],
+        master_seed: int,
+        tape_id: Any,
+        message_bits: Optional[int] = None,
+        limits: Optional[Sequence[int]] = None,
+        injector: Any = None,
+        tapes: Optional[Dict[Tuple[Any, int], int]] = None,
+    ):
+        tapes = {} if tapes is None else tapes
+        self.hosts: List[ProgramHost] = []
+        for node in nodes:
+            seed = tapes.get((tape_id, node))
+            if seed is None:
+                seed = tapes[tape_id, node] = ProgramHost.seed_for(master_seed, tape_id, node)
+            self.hosts.append(ProgramHost(algorithm, node, network, seed, message_bits))
+        self._crashed = injector.crashed if injector and injector.enabled else None
+        # (node, bound step, program, limit) per live host: the hot loop
+        # steps without re-resolving attributes.
+        self._live = [
+            (host.node, host.step, host.program, limit)
+            for host, limit in zip(self.hosts, limits or repeat(sys.maxsize))
+        ]
+
+    def start(self, emit: Callable[[int, Outbox], None]) -> bool:
+        """Start every host (sends to ``emit(node, outbox)``); return whether any is live."""
+        for host in self.hosts:
+            emit(host.node, host.start())
+        self._live = [entry for entry in self._live if not entry[2]._halted and entry[3] > 0]
+        return bool(self._live)
+
+    def step(
+        self,
+        algo_round: int,
+        inbox_of: Callable[[int], Optional[Mapping[int, Any]]],
+        emit: Callable[[int, Outbox], None],
+        crash_tick: int = 0,
+    ) -> bool:
+        """Run round ``algo_round`` on the live hosts; return whether any stays live.
+
+        ``inbox_of(node)`` gives a node's inbox (``None`` when empty); sends
+        go to ``emit(node, outbox)``.
+        """
+        crashed = self._crashed
+        live = []
+        keep = live.append
+        for entry in self._live:
+            node, step, program, limit = entry
+            if crashed is not None and crashed(node, crash_tick):
+                continue
+            inbox = inbox_of(node)
+            emit(node, step(algo_round, {} if inbox is None else inbox))
+            if not program._halted and algo_round < limit:
+                keep(entry)
+        self._live = live
+        return bool(live)
+
+    def outputs(self) -> Dict[int, Any]:
+        """Every host's output, ``node -> value``."""
+        return {host.node: host.output() for host in self.hosts}

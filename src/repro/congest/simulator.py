@@ -32,7 +32,7 @@ buggy and are pinned by regression tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
@@ -40,7 +40,7 @@ from ..telemetry import NULL_RECORDER, Recorder
 from .message import default_message_bits
 from .network import Network
 from .pattern import CommunicationPattern
-from .program import Algorithm, ProgramHost
+from .program import Algorithm, HostGroup
 from .trace import ExecutionTrace
 
 __all__ = ["SoloRun", "Simulator", "solo_run"]
@@ -187,52 +187,29 @@ class Simulator:
     ) -> SoloRun:
         recorder = self.recorder
         network = self.network
-        hosts: List[ProgramHost] = [
-            ProgramHost(
-                algorithm,
-                node,
-                network,
-                ProgramHost.seed_for(seed, algorithm_id, node),
-                self.message_bits,
-            )
-            for node in network.nodes
-        ]
-
         injector = self.injector
         faults = injector.enabled
-        # All message buffering, fault routing, trace recording and
-        # payload-size accounting live in the transport channel; this
-        # loop keeps only the scheduling decisions (who steps when, and
-        # when the run is complete).
+        group = HostGroup(
+            algorithm, network, network.nodes, seed, algorithm_id, self.message_bits,
+            injector=injector,
+        )
+        # The transport channel buffers messages, routes faults, records
+        # the trace and sizes payloads; this loop only decides when the
+        # run is complete.
         channel = self.transport.solo_channel(injector, algorithm_id)
         push = channel.push
-
-        for host in hosts:
-            push(host.node, host.start(), 1)
-
-        # Active set: the hosts that may still step. Halted hosts leave
-        # the set permanently (halting is monotone), so each round costs
-        # O(live) instead of O(n) — most algorithms halt the bulk of the
-        # network long before the last node finishes. Order is preserved
-        # (ascending node id), keeping traces bit-identical. Entries are
-        # (node, bound step, program) so the per-round loop reads the
-        # halt flag and steps without re-resolving attributes.
-        live = [
-            (host.node, host.step, host.program)
-            for host in hosts
-            if not host.program._halted
-        ]
+        alive = group.start(lambda node, outbox: push(node, outbox, 1))
 
         round_index = 0
         completion_round = 0
         previous_messages = 0
         truncated = False
         while True:
-            if not live or (
+            if not alive or (
                 faults
                 and all(
-                    injector.crashed(node, round_index + 1)
-                    for node, _step, _program in live
+                    host.halted or injector.crashed(host.node, round_index + 1)
+                    for host in group.hosts
                 )
             ):
                 # Don't declare completion while fault-delayed deliveries
@@ -275,23 +252,13 @@ class Simulator:
                     round=max_rounds,
                     algorithm=algorithm.name,
                 )
-            deliveries = channel.deliver(round_index)
-            inbox_of = deliveries.get
             next_round = round_index + 1
-            still_live = []
-            append = still_live.append
-            for entry in live:
-                node, step, program = entry
-                if faults and injector.crashed(node, round_index):
-                    # Crashed but not halted: stays tracked (the
-                    # completion check above consults the injector).
-                    append(entry)
-                    continue
-                inbox = inbox_of(node)
-                push(node, step(round_index, inbox if inbox is not None else {}), next_round)
-                if not program._halted:
-                    append(entry)
-            live = still_live
+            alive = group.step(
+                round_index,
+                channel.deliver(round_index).get,
+                lambda node, outbox: push(node, outbox, next_round),
+                round_index,
+            )
             if recorder.enabled:
                 recorder.sample(
                     "sim.round_messages",
@@ -304,10 +271,9 @@ class Simulator:
             recorder.counter("sim.runs")
             recorder.counter("sim.rounds", completion_round)
             recorder.counter("sim.messages", trace.num_messages)
-        outputs = {host.node: host.output() for host in hosts}
         return SoloRun(
             algorithm=algorithm,
-            outputs=outputs,
+            outputs=group.outputs(),
             rounds=trace.last_round,
             completion_round=completion_round,
             trace=trace,

@@ -46,10 +46,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..clustering.layers import Clustering
-from ..congest.program import ProgramHost
+from ..congest.program import HostGroup, ProgramHost
 from ..errors import CoverageError, ReproError, SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
@@ -119,36 +120,13 @@ def select_output_layers(
     return chosen
 
 
-class _Copy:
-    """One (layer, cluster, algorithm) copy and its participating hosts."""
+class _Copy(NamedTuple):
+    """One (layer, cluster, algorithm) copy: its delay and host group."""
 
-    __slots__ = (
-        "layer",
-        "center",
-        "aid",
-        "delay",
-        "hosts",
-        "limits",
-        "finished",
-        "max_limit",
-        "live",
-    )
-
-    def __init__(self, layer: int, center: int, aid: int, delay: int):
-        self.layer = layer
-        self.center = center
-        self.aid = aid
-        self.delay = delay
-        self.hosts: List[ProgramHost] = []
-        #: Per host: last algorithm-round this node will step.
-        self.limits: List[int] = []
-        self.finished = False
-        self.max_limit = 0
-        #: Active subset of ``zip(hosts, limits)``: hosts that may still
-        #: step. Halting, passing one's truncation limit, and
-        #: crash-stop (logical time) are all monotone, so departures are
-        #: permanent; node order is preserved.
-        self.live: List[Tuple[ProgramHost, int]] = []
+    layer: int
+    aid: int
+    delay: int
+    group: HostGroup
 
 
 def run_cluster_copies(
@@ -200,49 +178,34 @@ def run_cluster_copies(
         output_layers = select_output_layers(workload, clustering)
 
     # Every copy of (aid, node) runs the same random tape (the paper's
-    # randomness-as-input); derive each seed once, not once per layer.
-    seed_cache: Dict[Tuple[int, int], int] = {}
-
-    def tape_seed(aid: int, node: int) -> int:
-        key = (aid, node)
-        value = seed_cache.get(key)
-        if value is None:
-            value = ProgramHost.seed_for(
-                workload.master_seed, workload.tape_id(aid), node
-            )
-            seed_cache[key] = value
-        return value
+    # randomness-as-input); derive each tape once, not once per layer.
+    tapes: Dict[Tuple[Any, int], int] = {}
 
     # Build copy descriptors grouped by start big-round.
     copies: List[_Copy] = []
     for layer_index, layer in enumerate(clustering.layers):
+        h_prime = layer.h_prime
         for center, members in layer.clusters().items():
             for aid in workload.aids:
                 delay = delay_of(layer_index, center, aid)
                 if delay < 0:
                     raise ReproError("delays must be non-negative")
-                copy = _Copy(layer_index, center, aid, delay)
-                for v in members:
-                    h = layer.h_prime[v]
-                    # Fully covered nodes run to their solo halt; truncated
-                    # nodes stop stepping at their contained radius (their
-                    # step-t emissions are round-(t+1) sends, covering the
-                    # allowed horizon h' + 1). h' = 0 nodes still start:
-                    # their round-1 sends are input-only and may feed
-                    # same-cluster neighbours.
-                    limit = hard_caps[aid] if h >= dilations[aid] else h
-                    copy.limits.append(limit)
-                    copy.hosts.append(
-                        ProgramHost(
-                            workload.algorithms[aid],
-                            v,
-                            network,
-                            tape_seed(aid, v),
-                            workload.message_bits,
-                        )
-                    )
-                copy.max_limit = max(copy.limits, default=0)
-                copies.append(copy)
+                # Fully covered nodes run to their solo halt; truncated
+                # nodes stop stepping at their contained radius (their
+                # step-t emissions are round-(t+1) sends, covering the
+                # allowed horizon h' + 1). h' = 0 nodes still start:
+                # their round-1 sends are input-only and may feed
+                # same-cluster neighbours. Crash checks use the copy's
+                # algorithm round (logical time, so every copy agrees).
+                group = HostGroup(
+                    workload.algorithms[aid], network, members, workload.master_seed,
+                    workload.tape_id(aid), workload.message_bits, injector=injector,
+                    tapes=tapes, limits=[
+                        hard_caps[aid] if h_prime[v] >= dilations[aid] else h_prime[v]
+                        for v in members
+                    ],
+                )
+                copies.append(_Copy(layer_index, aid, delay, group))
 
     starts: Dict[int, List[_Copy]] = {}
     for copy in copies:
@@ -252,7 +215,7 @@ def run_cluster_copies(
         max_delay = max((c.delay for c in copies), default=0)
         max_big_rounds = max_delay + max(hard_caps, default=1) + 4
 
-    # Shared message pool: (aid, node) -> round -> {sender: payload}.
+    # Shared message pool: (aid, round) -> node -> {sender: payload}.
     # A message becomes visible here only once it has finished traversing
     # its big-round: emissions made *during* processing traverse the next
     # big-round and are therefore deferred (physical timing fidelity).
@@ -274,6 +237,68 @@ def run_cluster_copies(
     h_prime_of = [layer.h_prime for layer in clustering.layers]
     center_of = [layer.center for layer in clustering.layers]
     active: List[_Copy] = []
+
+    def transmit(
+        copy: _Copy,
+        msg_round: int,
+        deposit_now: bool,
+        sender: int,
+        sends: List[Tuple[int, Any]],
+    ) -> None:
+        """Apply truncation gates + dedup; deposit into the pool."""
+        nonlocal messages_sent, messages_deduplicated, messages_truncated
+        h_prime = h_prime_of[copy.layer]
+        if msg_round > h_prime[sender] + 1:
+            messages_truncated += len(sends)
+            return
+        aid = copy.aid
+        cluster_of = center_of[copy.layer]
+        sender_cluster = cluster_of[sender]
+        for receiver, payload in sends:
+            if cluster_of[receiver] != sender_cluster:
+                # Boundary nodes may address out-of-cluster neighbours;
+                # copies are confined to their cluster.
+                messages_truncated += 1
+                continue
+            key = (aid, msg_round, sender, receiver)
+            previous = sent.get(key, _MISSING)
+            if previous is not _MISSING:
+                if previous != payload and not faults:
+                    # Under faults a late copy may legitimately have
+                    # seen a different (delayed/depleted) inbox; the
+                    # first emission wins.
+                    raise ReproError(
+                        "copy-consistency violated: two copies emitted "
+                        f"different payloads for {key}: "
+                        f"{previous!r} vs {payload!r}"
+                    )
+                messages_deduplicated += 1
+                if dedup:
+                    continue
+            else:
+                sent[key] = payload
+                # Fate is decided once per *logical* message (the tick
+                # is its algorithm round), so all copies agree on it.
+                if faults:
+                    offsets = injector.deliveries(
+                        msg_round, sender, receiver, stream=aid
+                    )
+                else:
+                    offsets = (0,)
+                visible_at = big_round if deposit_now else big_round + 1
+                for offset in offsets:
+                    if offset == 0 and deposit_now:
+                        pool.setdefault((aid, msg_round), {}).setdefault(
+                            receiver, {}
+                        )[sender] = payload
+                    else:
+                        deferred.setdefault(visible_at + offset, []).append(
+                            (aid, msg_round, sender, receiver, payload)
+                        )
+            # ``deposit_now`` emissions traverse this big-round;
+            # step emissions traverse the next one.
+            channel.count(sender, receiver, deposit_now)
+            messages_sent += 1
 
     big_round = -1
     remaining = len(copies)
@@ -300,8 +325,8 @@ def run_cluster_copies(
                             deferred.pop(due)
                         ):
                             pool.setdefault(
-                                (aid_, receiver_), {}
-                            ).setdefault(msg_round_, {})[sender_] = payload_
+                                (aid_, msg_round_), {}
+                            ).setdefault(receiver_, {})[sender_] = payload_
                     skipped_rounds += clamped - big_round
                     big_round = clamped
         if big_round > max_big_rounds:
@@ -324,82 +349,14 @@ def run_cluster_copies(
         for aid_, msg_round_, sender_, receiver_, payload_ in deferred.pop(
             big_round, ()
         ):
-            pool.setdefault((aid_, receiver_), {}).setdefault(msg_round_, {})[
+            pool.setdefault((aid_, msg_round_), {}).setdefault(receiver_, {})[
                 sender_
             ] = payload_
-
-        def transmit(
-            copy: _Copy,
-            sender: int,
-            sends: List[Tuple[int, Any]],
-            msg_round: int,
-            deposit_now: bool,
-        ) -> None:
-            """Apply truncation gates + dedup; deposit into the pool."""
-            nonlocal messages_sent, messages_deduplicated, messages_truncated
-            h_prime = h_prime_of[copy.layer]
-            if msg_round > h_prime[sender] + 1:
-                messages_truncated += len(sends)
-                return
-            aid = copy.aid
-            cluster_of = center_of[copy.layer]
-            sender_cluster = cluster_of[sender]
-            for receiver, payload in sends:
-                if cluster_of[receiver] != sender_cluster:
-                    # Boundary nodes may address out-of-cluster neighbours;
-                    # copies are confined to their cluster.
-                    messages_truncated += 1
-                    continue
-                key = (aid, msg_round, sender, receiver)
-                previous = sent.get(key, _MISSING)
-                if previous is not _MISSING:
-                    if previous != payload and not faults:
-                        # Under faults a late copy may legitimately have
-                        # seen a different (delayed/depleted) inbox; the
-                        # first emission wins.
-                        raise ReproError(
-                            "copy-consistency violated: two copies emitted "
-                            f"different payloads for {key}: "
-                            f"{previous!r} vs {payload!r}"
-                        )
-                    messages_deduplicated += 1
-                    if dedup:
-                        continue
-                else:
-                    sent[key] = payload
-                    # Fate is decided once per *logical* message (the tick
-                    # is its algorithm round), so all copies agree on it.
-                    if faults:
-                        offsets = injector.deliveries(
-                            msg_round, sender, receiver, stream=aid
-                        )
-                    else:
-                        offsets = (0,)
-                    visible_at = big_round if deposit_now else big_round + 1
-                    for offset in offsets:
-                        if offset == 0 and deposit_now:
-                            pool.setdefault((aid, receiver), {}).setdefault(
-                                msg_round, {}
-                            )[sender] = payload
-                        else:
-                            deferred.setdefault(visible_at + offset, []).append(
-                                (aid, msg_round, sender, receiver, payload)
-                            )
-                # ``deposit_now`` emissions traverse this big-round;
-                # step emissions traverse the next one.
-                channel.count(sender, receiver, deposit_now)
-                messages_sent += 1
 
         # Copies starting now emit their round-1 messages (traversing this
         # big-round).
         for copy in starts.get(big_round, ()):
-            for host in copy.hosts:
-                transmit(copy, host.node, host.start(), 1, True)
-            copy.live = [
-                (host, limit)
-                for host, limit in zip(copy.hosts, copy.limits)
-                if not host.halted
-            ]
+            copy.group.start(partial(transmit, copy, 1, True))
             active.append(copy)
 
         # Active copies process the inbox of their current round and emit
@@ -407,32 +364,15 @@ def run_cluster_copies(
         still_active: List[_Copy] = []
         for copy in active:
             algo_round = big_round - copy.delay + 1
-            if algo_round > copy.max_limit:
-                copy.finished = True
-                remaining -= 1
-                continue
-            inbox_pool = pool
-            aid = copy.aid
-            any_alive = False
-            live_pairs: List[Tuple[ProgramHost, int]] = []
-            for host, limit in copy.live:
-                if algo_round > limit:
-                    continue
-                if faults and injector.crashed(host.node, algo_round):
-                    # Crash-stop (in logical time, so every copy agrees;
-                    # monotone in the copy's round — drop permanently).
-                    continue
-                inbox = inbox_pool.get((aid, host.node), {}).get(algo_round, {})
-                sends = host.step(algo_round, inbox)
-                transmit(copy, host.node, sends, algo_round + 1, False)
-                if not host.halted and algo_round < limit:
-                    live_pairs.append((host, limit))
-                    any_alive = True
-            copy.live = live_pairs
-            if any_alive:
+            alive = copy.group.step(
+                algo_round,
+                pool.get((copy.aid, algo_round), _NO_INBOXES).get,
+                partial(transmit, copy, algo_round + 1, False),
+                algo_round,
+            )
+            if alive:
                 still_active.append(copy)
             else:
-                copy.finished = True
                 remaining -= 1
         active = still_active
 
@@ -463,7 +403,7 @@ def run_cluster_copies(
     outputs: OutputMap = {}
     host_index: Dict[Tuple[int, int, int], ProgramHost] = {}
     for copy in copies:
-        for host in copy.hosts:
+        for host in copy.group.hosts:
             host_index[(copy.layer, copy.aid, host.node)] = host
     for (aid, v), layer_index in output_layers.items():
         host = host_index.get((layer_index, aid, v))
@@ -487,11 +427,9 @@ def run_cluster_copies(
     )
 
 
-class _Missing:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<missing>"
+#: The pool entry of an (aid, round) no message has reached yet.
+_NO_INBOXES: Dict[int, Dict[int, Any]] = {}
 
 
-_MISSING = _Missing()
+#: Dedup-registry sentinel: no copy has sent this message yet.
+_MISSING = object()

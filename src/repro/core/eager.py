@@ -20,10 +20,9 @@ concurrency corrupts outputs, motivating the delay/cluster machinery.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Mapping
 
-from ..congest.program import ProgramHost
-
+from ..congest.program import Algorithm, HostGroup, NodeContext, NodeProgram
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
 from .transport import resolve_transport
@@ -53,42 +52,30 @@ class EagerScheduler(Scheduler):
             params.congestion + params.dilation + k + 4
         )
 
-        hosts: Dict[int, List[ProgramHost]] = {}
-        for aid in workload.aids:
-            hosts[aid] = [
-                ProgramHost(
-                    workload.algorithms[aid],
-                    node,
-                    network,
-                    ProgramHost.seed_for(
-                        workload.master_seed, workload.tape_id(aid), node
-                    ),
-                    workload.message_bits,
-                )
-                for node in network.nodes
-            ]
-
         # The per-directed-edge FIFO queues live in the transport channel
         # (kept object-per-message in every backend: the inbox build
         # order here is output-visible — see the channel docstring).
         channel = resolve_transport(self.transport).eager_channel()
+        push = channel.push
+        naive = [_Naive(algorithm) for algorithm in workload.algorithms]
+        groups = [
+            HostGroup(
+                naive[aid], network, network.nodes, workload.master_seed,
+                workload.tape_id(aid), workload.message_bits,
+            )
+            for aid in workload.aids
+        ]
+        live = [
+            (aid, group)
+            for aid, group in enumerate(groups)
+            if group.start(lambda node, outbox: push(aid, node, outbox))
+        ]
         overwrites = 0
-        delivered_late = 0
-
-        for aid in workload.aids:
-            for host in hosts[aid]:
-                channel.push(aid, host.node, host.start())
+        undelivered = 0
 
         physical_round = 0
         last_message_round = 0
-        while True:
-            all_halted = all(
-                host.halted for group in hosts.values() for host in group
-            )
-            if all_halted or (
-                channel.in_flight == 0 and physical_round > params.dilation
-            ):
-                break
+        while live and (channel.in_flight or physical_round <= params.dilation):
             physical_round += 1
             if physical_round > cap:
                 break  # cut off: a deadlocked/queued-up execution
@@ -100,27 +87,24 @@ class EagerScheduler(Scheduler):
                 last_message_round = physical_round
 
             # Every algorithm advances one round, ready or not.
-            for aid in workload.aids:
-                for host in hosts[aid]:
-                    if host.halted:
-                        continue
-                    inbox = inboxes.pop((aid, host.node), {})
-                    try:
-                        channel.push(
-                            aid, host.node, host.step(physical_round, inbox)
-                        )
-                    except Exception:
-                        # A confused program may violate CONGEST rules
-                        # (e.g. double-sends after duplicate deliveries);
-                        # naive execution just drops the round's sends.
-                        delivered_late += 1
+            take = inboxes.pop
+            live = [
+                (aid, group)
+                for aid, group in live
+                if group.step(
+                    physical_round,
+                    lambda node: take((aid, node), None),
+                    lambda node, outbox: push(aid, node, outbox),
+                )
+            ]
             # Messages addressed to already-halted programs vanish.
-            delivered_late += len(inboxes)
+            undelivered += len(inboxes)
 
-        outputs: OutputMap = {}
-        for aid in workload.aids:
-            for host in hosts[aid]:
-                outputs[(aid, host.node)] = host.output()
+        outputs: OutputMap = {
+            (aid, node): value
+            for aid, group in enumerate(groups)
+            for node, value in group.outputs().items()
+        }
 
         report = ScheduleReport(
             scheduler=self.name,
@@ -129,8 +113,58 @@ class EagerScheduler(Scheduler):
             notes={
                 "in_flight_at_cutoff": channel.in_flight,
                 "inbox_overwrites": overwrites,
-                "late_or_dropped": delivered_late,
+                "late_or_dropped": undelivered
+                + sum(algorithm.failed_rounds for algorithm in naive),
                 "cap": cap,
             },
         )
         return self._finish(workload, outputs, report)
+
+
+class _Naive(Algorithm):
+    """``algorithm`` run naively: a round whose program raises sends nothing.
+
+    A confused program may violate CONGEST rules (e.g. double-sends after
+    duplicate deliveries); naive execution counts the round in
+    :attr:`failed_rounds` and drops its sends. What the program buffered
+    before raising stays buffered for its next round.
+    """
+
+    def __init__(self, algorithm: Algorithm):
+        self.algorithm = algorithm
+        self.failed_rounds = 0
+
+    def make_program(self, node: int, ctx: NodeContext) -> NodeProgram:
+        return _NaiveProgram(self, self.algorithm.make_program(node, ctx))
+
+
+class _NaiveProgram(NodeProgram):
+    """Delegates to one node's program, catching its failing rounds."""
+
+    def __init__(self, owner: _Naive, program: NodeProgram):
+        self.owner = owner
+        self.program = program
+        self.held: Any = None
+
+    @property
+    def _halted(self) -> bool:  # the inner program's flag, read by the host
+        return self.program._halted
+
+    def on_start(self, ctx: NodeContext) -> None:
+        self.program.on_start(ctx)
+
+    def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
+        if self.held is not None:
+            ctx._outbox, ctx._sent_to, ctx._sent_all, ctx._broadcast = self.held
+            self.held = None
+        try:
+            self.program.on_round(ctx, inbox)
+        except Exception:
+            self.owner.failed_rounds += 1
+            self.held = (ctx._outbox, ctx._sent_to, ctx._sent_all, ctx._broadcast)
+            ctx._outbox, ctx._sent_to, ctx._sent_all, ctx._broadcast = (
+                [], set(), False, None,
+            )
+
+    def output(self) -> Any:
+        return self.program.output()

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..congest.program import ProgramHost
+from ..congest.program import HostGroup
 from ..errors import SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
@@ -120,21 +120,15 @@ def run_delayed_phases(
         raise ValueError("delays must be non-negative")
     if on_limit not in ("raise", "truncate"):
         raise ValueError(f"on_limit must be 'raise' or 'truncate', got {on_limit!r}")
-    faults = injector.enabled
 
     if max_phases is None:
         max_phases = (
             max(delays) + max(a.max_rounds(network) for a in workload.algorithms) + 4
         )
 
-    # hosts[aid][node]; created lazily per algorithm at its start phase so
+    # One host group per algorithm, created lazily at its start phase so
     # memory stays proportional to concurrently active algorithms.
-    hosts: List[Optional[List[ProgramHost]]] = [None] * k
-    # Per-algorithm active set: the hosts that may still step (halting is
-    # monotone, so halted hosts leave permanently; order — ascending
-    # node id — is preserved). Crashed hosts stay: the crash check is
-    # per-phase against the injector.
-    live_hosts: List[List[ProgramHost]] = [[] for _ in range(k)]
+    groups: List[Optional[HostGroup]] = [None] * k
     # All message buffering, fault routing and load accounting live in
     # the transport channel; the loop below keeps only the scheduling
     # decisions (who starts when, who steps, when the run is complete).
@@ -198,51 +192,28 @@ def run_delayed_phases(
         starting = start_at.get(phase)
         if starting:
             for aid in starting:
-                algorithm = workload.algorithms[aid]
-                hosts[aid] = [
-                    ProgramHost(
-                        algorithm,
-                        node,
-                        network,
-                        ProgramHost.seed_for(
-                            workload.master_seed, workload.tape_id(aid), node
-                        ),
-                        workload.message_bits,
-                    )
-                    for node in network.nodes
-                ]
-                for host in hosts[aid]:
-                    push(aid, host.node, host.start(), phase, True)
-                live_hosts[aid] = [h for h in hosts[aid] if not h.halted]
+                group = groups[aid] = HostGroup(
+                    workload.algorithms[aid], network, network.nodes, workload.master_seed,
+                    workload.tape_id(aid), workload.message_bits, injector=injector,
+                )
+                group.start(lambda node, outbox: push(aid, node, outbox, phase, True))
             active_aids.extend(starting)
             active_aids.sort()
 
         # Every running algorithm processes the inbox of its current round
         # (delivered during this phase) and emits next round's messages,
-        # which traverse during the next phase.
+        # which traverse during the next phase. The crash tick is the
+        # 1-based phase; a crash-stopped host counts as terminated.
         next_phase = phase + 1
         still_active: List[int] = []
         for aid in active_aids:
-            algo_round = phase - delays[aid] + 1
-            deliveries = channel.deliver(aid, phase)
-            alive_hosts: List[ProgramHost] = []
-            all_halted = True
-            for host in live_hosts[aid]:
-                if faults and injector.crashed(host.node, next_phase):
-                    # Crash-stop counts as terminated for scheduling (the
-                    # host stays tracked; the check is per-phase).
-                    alive_hosts.append(host)
-                    continue
-                inbox = deliveries.get(host.node, {})
-                push(
-                    aid, host.node, host.step(algo_round, inbox), next_phase,
-                    False,
-                )
-                if not host.halted:
-                    alive_hosts.append(host)
-                    all_halted = False
-            live_hosts[aid] = alive_hosts
-            if all_halted and channel.idle(aid):
+            alive = groups[aid].step(
+                phase - delays[aid] + 1,
+                channel.deliver(aid, phase).get,
+                lambda node, outbox: push(aid, node, outbox, next_phase, False),
+                next_phase,
+            )
+            if not alive and channel.idle(aid):
                 remaining -= 1
             else:
                 still_active.append(aid)
@@ -264,17 +235,16 @@ def run_delayed_phases(
         recorder.observe("phase.max_load", channel.max_load)
 
     outputs: OutputMap = {}
-    for aid in range(k):
-        algorithm_hosts = hosts[aid]
-        if algorithm_hosts is None:
+    for aid, group in enumerate(groups):
+        if group is None:
             # Only reachable when truncated before this algorithm's start
             # phase: report "no output" for every node.
             assert truncated
             for node in network.nodes:
                 outputs[(aid, node)] = None
             continue
-        for host in algorithm_hosts:
-            outputs[(aid, host.node)] = host.output()
+        for node, value in group.outputs().items():
+            outputs[(aid, node)] = value
 
     return PhaseExecution(
         outputs=outputs,

@@ -110,11 +110,10 @@ class Workload:
     def tape_id(self, aid: int) -> Any:
         """The tape identity of algorithm ``aid`` (defaults to ``aid``).
 
-        Everything that derives a node's private random tape —
-        :meth:`~repro.congest.program.ProgramHost.seed_for` in the
-        execution engines, :meth:`solo_runs` for the references — must
-        go through this so explicit ``algorithm_ids`` take effect
-        consistently.
+        Everything that derives a node's private random tape — each
+        engine's :class:`~repro.congest.program.HostGroup`,
+        :meth:`solo_runs` for the references — must go through this so
+        explicit ``algorithm_ids`` take effect consistently.
         """
         return self.algorithm_ids[aid] if self.algorithm_ids is not None else aid
 

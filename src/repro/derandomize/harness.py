@@ -41,7 +41,8 @@ from ..clustering.layers import (
     extend_clustering,
 )
 from ..congest.network import Network
-from ..congest.program import Algorithm, ProgramHost
+from ..congest.message import default_message_bits
+from ..congest.program import Algorithm, HostGroup
 from ..errors import CoverageError
 
 __all__ = ["BellagioResult", "run_with_private_randomness"]
@@ -152,26 +153,24 @@ def _run_layer(
         shared_seed = cluster_seed_bits(seed, layer_index, center, seed_bits)
         algorithms[center] = make_algorithm(shared_seed)
 
-    hosts: Dict[int, ProgramHost] = {}
-    limits: Dict[int, int] = {}
-    cap = 0
-    for v in network.nodes:
-        h = layer.h_prime[v]
-        center = layer.center[v]
-        algorithm = algorithms[center]
-        hard_cap = algorithm.max_rounds(network)
-        limits[v] = hard_cap if v in needed else h
-        cap = max(cap, hard_cap)
-        hosts[v] = ProgramHost(
-            algorithm,
-            v,
-            network,
-            ProgramHost.seed_for(seed, ("bellagio", layer_index, center), v),
+    # One host group per cluster, budgeted like every other engine; needed
+    # nodes run to their halt, the rest stop at their contained radius.
+    h_prime = layer.h_prime
+    groups = [
+        HostGroup(
+            algorithms[center], network, members, seed, ("bellagio", layer_index, center),
+            default_message_bits(network.num_nodes),
+            limits=[
+                algorithms[center].max_rounds(network) if v in needed else h_prime[v]
+                for v in members
+            ],
         )
+        for center, members in layer.clusters().items()
+    ]
+    cap = max(algorithm.max_rounds(network) for algorithm in algorithms.values())
 
     # Synchronous big-round loop; messages across cluster boundaries (or
     # beyond a sender's executed prefix) are discarded, as in Lemma 4.4.
-    h_prime = layer.h_prime
     center_of = layer.center
     pending: Dict[int, Dict[int, Any]] = {}
     rounds_used = 0
@@ -183,33 +182,33 @@ def _run_layer(
         if msg_round > h_prime[sender] + 1:
             return
         for receiver, payload in sends:
-            if center_of[receiver] != center_of[sender]:
-                continue
-            if receiver in hosts:
+            if center_of[receiver] == center_of[sender]:
                 pending.setdefault(receiver, {})[sender] = payload
 
-    for v, host in hosts.items():
-        ship(v, host.start(), 1)
-
+    live = [
+        group for group in groups if group.start(lambda v, sends: ship(v, sends, 1))
+    ]
     algo_round = 0
     while True:
         algo_round += 1
         if algo_round > cap:
             break
         deliveries, pending = pending, {}
-        alive = False
-        for v, host in hosts.items():
-            if host.halted or algo_round > limits[v]:
-                continue
-            inbox = deliveries.get(v, {})
-            ship(v, host.step(algo_round, inbox), algo_round + 1)
-            if not host.halted and algo_round < limits[v]:
-                alive = True
+        live = [
+            group
+            for group in live
+            if group.step(
+                algo_round,
+                deliveries.get,
+                lambda v, sends: ship(v, sends, algo_round + 1),
+            )
+        ]
         rounds_used = algo_round
-        if not alive and not pending:
+        if not live and not pending:
             break
 
+    host_of = {host.node: host for group in groups for host in group.hosts}
     for v in needed:
-        outputs[v] = hosts[v].output()
+        outputs[v] = host_of[v].output()
         output_layer[v] = layer_index
     return rounds_used

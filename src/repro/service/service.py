@@ -488,6 +488,11 @@ class SchedulerService:
         #: its max entry; a serial drain pays the sum.
         self.drain_waves: List[List[float]] = []
         self._closed = False
+        if self.directory is not None:
+            # Open every shard with history now, so the one job-id sequence
+            # continues past every journaled id, whatever network comes next.
+            for path in sorted((self.directory / "shards").glob("*/journal.jsonl")):
+                self._open_shard(path.parent.name)
 
     # ------------------------------------------------------------------
     # shards
@@ -965,8 +970,7 @@ class SchedulerService:
         _refuse_legacy_journal(Path(directory))
         service = cls(directory=directory, **kwargs)
         awaiting_admission = []
-        for path in sorted((service.directory / "shards").glob("*/journal.jsonl")):
-            shard = service._open_shard(path.parent.name)
+        for shard in service.shards.values():
             for job_id, entry in sorted(shard.journal.state.jobs.items()):
                 job = service._rebuild_job(job_id, entry)
                 if entry["state"] in TERMINAL_RECORD_STATES:

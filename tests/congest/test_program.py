@@ -1,10 +1,13 @@
-"""Tests for node programs, contexts, and hosts."""
+"""Tests for node programs, contexts, hosts and host groups."""
+
+import random
 
 import pytest
 
-from repro.congest import Network, NodeContext, NodeProgram, ProgramHost
+from repro.congest import HostGroup, Network, NodeContext, NodeProgram, ProgramHost
 from repro.congest.program import Algorithm
 from repro.errors import BandwidthViolation
+from repro.faults import FaultPlan
 
 
 class _Echo(NodeProgram):
@@ -106,3 +109,62 @@ class TestProgramHost:
         b = ProgramHost.seed_for(1, "alg", 5)
         c = ProgramHost.seed_for(1, "alg", 6)
         assert a == b != c
+
+
+def _drive(group, rounds, crash_tick=lambda r: r):
+    """Start ``group`` and step it ``rounds`` times; return who stepped."""
+    stepped = []
+    group.start(lambda node, outbox: None)
+    for r in range(1, rounds + 1):
+        group.step(
+            r, lambda node: None, lambda node, outbox: stepped.append((r, node)),
+            crash_tick(r),
+        )
+    return stepped
+
+
+class TestHostGroup:
+    def test_hosts_halt_and_leave_the_live_set(self, net):
+        group = HostGroup(_EchoAlgorithm(), net, net.nodes, 0, "echo")
+        sent = []
+        assert group.start(lambda node, outbox: sent.append((node, sorted(outbox))))
+        assert sent == [(0, [(1, 0)]), (1, [(0, 0), (2, 0)]), (2, [(1, 0)])]
+        assert group.step(1, {1: {0: 0}}.get, lambda node, outbox: None)
+        # Round 2 halts every program: nobody is live afterwards.
+        assert not group.step(2, {}.get, lambda node, outbox: None)
+        assert group.outputs() == {0: {}, 1: {}, 2: {}}
+
+    def test_tapes_follow_seed_for(self, net):
+        group = HostGroup(_EchoAlgorithm(), net, [2, 0], 7, "echo")
+        assert [host.node for host in group.hosts] == [2, 0]
+        expected = random.Random(ProgramHost.seed_for(7, "echo", 2)).random()
+        assert group.hosts[0].ctx.rng.random() == expected
+
+    def test_shared_tape_memo_derives_each_tape_once(self, net, monkeypatch):
+        calls = []
+        original = ProgramHost.seed_for.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(ProgramHost, "seed_for", classmethod(counting))
+        tapes = {}
+        for _ in range(3):
+            HostGroup(_EchoAlgorithm(), net, net.nodes, 0, "echo", tapes=tapes)
+        assert len(calls) == 3
+
+    def test_limits_cap_the_rounds_each_host_steps(self, net):
+        group = HostGroup(_EchoAlgorithm(), net, net.nodes, 0, "echo", limits=[0, 1, 2])
+        assert _drive(group, 2) == [(1, 1), (1, 2), (2, 2)]
+
+    def test_crashed_hosts_stop_stepping(self, net):
+        injector = FaultPlan.node_crash(1, round=2).injector()
+        group = HostGroup(_EchoAlgorithm(), net, net.nodes, 0, "echo", injector=injector)
+        assert _drive(group, 2) == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 2)]
+
+    def test_crash_tick_is_the_callers_clock(self, net):
+        injector = FaultPlan.node_crash(1, round=2).injector()
+        group = HostGroup(_EchoAlgorithm(), net, net.nodes, 0, "echo", injector=injector)
+        # Ticks one ahead of the round: node 1 stops a round earlier.
+        assert _drive(group, 2, crash_tick=lambda r: r + 1) == [(1, 0), (1, 2), (2, 0), (2, 2)]

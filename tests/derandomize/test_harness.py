@@ -10,7 +10,8 @@ from repro.derandomize import (
     run_with_private_randomness,
     true_distinct_counts,
 )
-from repro.errors import CoverageError
+from repro.congest import Algorithm, NodeProgram
+from repro.errors import BandwidthViolation, CoverageError
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +99,29 @@ class TestHarness:
         a = run_with_private_randomness(net, make, locality, seed=6)
         b = run_with_private_randomness(net, make, locality, seed=6)
         assert a.outputs == b.outputs
+
+
+class _ShipNeighbourhood(Algorithm):
+    """Sends every node's whole vertex set, many times over, in round 1."""
+
+    def __init__(self, shared_seed):
+        self.shared_seed = shared_seed
+
+    def make_program(self, node, ctx):
+        return _ShipNeighbourhoodProgram()
+
+
+class _ShipNeighbourhoodProgram(NodeProgram):
+    def on_start(self, ctx):
+        ctx.send_all(tuple(range(ctx.num_nodes)) * 8)
+
+    def on_round(self, ctx, inbox):
+        self.halt()
+
+
+class TestBandwidth:
+    def test_oversized_payload_violates_congest_budget(self, setting):
+        """The harness enforces the Θ(log n) budget like every engine."""
+        net, _ = setting
+        with pytest.raises(BandwidthViolation):
+            run_with_private_randomness(net, _ShipNeighbourhood, locality=1, seed=0)

@@ -424,6 +424,26 @@ class TestShardedRecovery:
         assert states == [JobState.QUEUED, JobState.QUEUED, JobState.REJECTED]
         recovered.shutdown(drain=False)
 
+    def test_job_ids_continue_across_every_shard_history(self, tmp_path):
+        """Regression: a clean re-serve reused an unopened shard's ids.
+
+        Shards used to open lazily, so a fresh service over a directory
+        learned a shard's journaled job ids only when that shard got
+        its next job; a job on another network restarted at ``j0001``.
+        """
+        directory = tmp_path / "svc"
+        first = SchedulerService(directory=directory, solo_cache=SoloRunCache())
+        grid = topology.grid_graph(4, 4)
+        served = [first.submit(grid, BFS(source, hops=2)) for source in (0, 5)]
+        first.drain()
+        first.shutdown()
+        assert [job.job_id for job in served] == ["j0001", "j0002"]
+
+        second = SchedulerService(directory=directory, solo_cache=SoloRunCache())
+        job = second.submit(topology.cycle_graph(8), BFS(0, hops=2))
+        assert job.job_id == "j0003"
+        second.shutdown()
+
     def test_legacy_single_journal_refused(self, tmp_path):
         """A pre-sharding ``<dir>/journal.jsonl`` is refused, not ignored."""
         legacy = tmp_path / "journal.jsonl"
