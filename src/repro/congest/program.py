@@ -28,7 +28,10 @@ deterministically from ``(master seed, algorithm id, node)``. The paper
 treats each node's random bits as part of its input, fixed before the
 execution starts; deterministic seeding reproduces exactly that: every copy
 of an algorithm run by a scheduler draws the same random tape and therefore
-behaves identically given identical inbox histories.
+behaves identically given identical inbox histories. A group's tapes are
+derived on first read: a tape is a pure function of its key, so deriving it
+when the program first reads ``ctx.rng`` yields the same bits as deriving it
+up front, and programs that never read it (BFS, broadcast, ...) never pay.
 """
 
 from __future__ import annotations
@@ -93,20 +96,45 @@ class Broadcast:
 Outbox = Union[List[Send], Broadcast]
 
 
+class _Tapes:
+    """The deferred tapes of one :class:`HostGroup`.
+
+    Node ``v``'s seed is ``ProgramHost.seed_for(master_seed, tape_id, v)``,
+    derived on demand and kept in ``memo`` (``(tape_id, node) -> seed``,
+    possibly shared by copies of one algorithm).
+    """
+
+    __slots__ = ("master_seed", "tape_id", "memo")
+
+    def __init__(self, master_seed: int, tape_id: Any, memo: Dict[Tuple[Any, int], int]):
+        self.master_seed = master_seed
+        self.tape_id = tape_id
+        self.memo = memo
+
+    def seed(self, node: int) -> int:
+        key = (self.tape_id, node)
+        seed = self.memo.get(key)
+        if seed is None:
+            seed = self.memo[key] = ProgramHost.seed_for(self.master_seed, self.tape_id, node)
+        return seed
+
+
 class NodeContext:
     """Per-node execution context handed to a :class:`NodeProgram`.
 
     Provides the node's identity, its local view of the network (neighbours
     and the global parameter ``n``), its private random tape, and the
     :meth:`send` primitive. One context exists per (algorithm copy, node)
-    and lives for the whole execution.
+    and lives for the whole execution. ``seed`` is the tape's seed, or a
+    group's deferred tapes; either way :attr:`rng` is built on first read.
     """
 
     __slots__ = (
         "node",
         "num_nodes",
         "neighbors",
-        "rng",
+        "_tape",
+        "_rng",
         "round",
         "_message_bits",
         "_outbox",
@@ -119,13 +147,14 @@ class NodeContext:
         self,
         node: int,
         network: Network,
-        seed: int,
+        seed: Union[int, _Tapes],
         message_bits: Optional[int] = None,
     ):
         self.node = node
         self.num_nodes = network.num_nodes
         self.neighbors: Tuple[int, ...] = network.neighbors(node)
-        self.rng = random.Random(seed)
+        self._tape = seed
+        self._rng: Optional[random.Random] = None
         #: Current algorithm-round (0 before the first round).
         self.round = 0
         self._message_bits = message_bits
@@ -133,6 +162,16 @@ class NodeContext:
         self._sent_to: set = set()
         self._sent_all = False
         self._broadcast: Any = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The node's random tape, derived on first read."""
+        rng = self._rng
+        if rng is None:
+            tape = self._tape
+            seed = tape.seed(self.node) if isinstance(tape, _Tapes) else tape
+            rng = self._rng = random.Random(seed)
+        return rng
 
     def send(self, neighbor: int, payload: Any) -> None:
         """Buffer one message to ``neighbor``, delivered next round.
@@ -272,7 +311,7 @@ class ProgramHost:
         algorithm: Algorithm,
         node: int,
         network: Network,
-        seed: int,
+        seed: Union[int, _Tapes],
         message_bits: Optional[int] = None,
     ):
         self.node = node
@@ -327,11 +366,12 @@ class HostGroup:
     Every engine drives its programs through groups, so an algorithm sees
     one driving protocol however it is scheduled. A group builds one
     :class:`ProgramHost` per node with the tape
-    ``seed_for(master_seed, tape_id, node)`` (``tapes``, when given, is a
-    ``(tape_id, node) -> seed`` memo shared by copies of one algorithm)
-    and owns the *live set*, in ``nodes`` order. A host leaves it for good
-    when it halts, once it has stepped round ``limits[i]`` (optional, per
-    node; ``step`` then runs rounds ``1, 2, …`` in order), or when
+    ``seed_for(master_seed, tape_id, node)``, derived on first read of the
+    node's ``ctx.rng`` (``tapes``, when given, is a ``(tape_id, node) ->
+    seed`` memo shared by copies of one algorithm). It owns the *live set*,
+    in ``nodes`` order. A host leaves it for good when it halts, once it
+    has stepped round ``limits[i]`` (optional, one per node; ``step`` then
+    runs rounds ``1, 2, …`` in order), or when
     ``injector.crashed(node, crash_tick)`` holds. All three are monotone.
     """
 
@@ -349,19 +389,18 @@ class HostGroup:
         injector: Any = None,
         tapes: Optional[Dict[Tuple[Any, int], int]] = None,
     ):
-        tapes = {} if tapes is None else tapes
-        self.hosts: List[ProgramHost] = []
-        for node in nodes:
-            seed = tapes.get((tape_id, node))
-            if seed is None:
-                seed = tapes[tape_id, node] = ProgramHost.seed_for(master_seed, tape_id, node)
-            self.hosts.append(ProgramHost(algorithm, node, network, seed, message_bits))
+        deferred = _Tapes(master_seed, tape_id, {} if tapes is None else tapes)
+        self.hosts = [
+            ProgramHost(algorithm, node, network, deferred, message_bits) for node in nodes
+        ]
+        if limits is not None and len(limits) != len(self.hosts):
+            raise ValueError(f"{len(limits)} limits for {len(self.hosts)} hosts")
         self._crashed = injector.crashed if injector and injector.enabled else None
         # (node, bound step, program, limit) per live host: the hot loop
         # steps without re-resolving attributes.
         self._live = [
             (host.node, host.step, host.program, limit)
-            for host, limit in zip(self.hosts, limits or repeat(sys.maxsize))
+            for host, limit in zip(self.hosts, repeat(sys.maxsize) if limits is None else limits)
         ]
 
     def start(self, emit: Callable[[int, Outbox], None]) -> bool:

@@ -39,6 +39,7 @@ termination and "halted forever but still ACKing" is not expressible.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, List, Mapping, Tuple
 
 from ..congest.program import Algorithm, NodeContext, NodeProgram, Send
@@ -75,16 +76,21 @@ class _InnerContext:
     context.
     """
 
-    __slots__ = ("node", "num_nodes", "neighbors", "rng", "round", "_outbox", "_sent_to")
+    __slots__ = ("node", "num_nodes", "neighbors", "round", "_outer", "_outbox", "_sent_to")
 
     def __init__(self, outer: NodeContext):
         self.node = outer.node
         self.num_nodes = outer.num_nodes
         self.neighbors = outer.neighbors
-        self.rng = outer.rng
         self.round = 0
+        self._outer = outer
         self._outbox: List[Send] = []
         self._sent_to: set = set()
+
+    @property
+    def rng(self) -> random.Random:
+        """The outer context's tape (derived only if the inner program reads it)."""
+        return self._outer.rng
 
     def send(self, neighbor: int, payload: Any) -> None:
         """Buffer one inner message (same constraints as the real context)."""

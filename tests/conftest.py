@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.congest import topology
+from repro.congest import ProgramHost, topology
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,17 @@ def expander():
 def star8():
     """A star on 8 nodes (hub congestion)."""
     return topology.star_graph(8)
+
+
+@pytest.fixture
+def seed_calls(monkeypatch):
+    """Every ``ProgramHost.seed_for`` call's arguments, in order."""
+    calls = []
+    original = ProgramHost.seed_for.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(ProgramHost, "seed_for", classmethod(counting))
+    return calls

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms import BFS, HopBroadcast
+from repro.algorithms import BFS, HopBroadcast, PushGossip
 from repro.congest import topology
 from repro.congest.simulator import Simulator, solo_run
 from repro.core import RandomDelayScheduler, Workload
@@ -104,3 +104,26 @@ class TestRecovery:
         )
         reference = solo_run(grid4, BFS(0, hops=6), seed=1, algorithm_id=0)
         assert run.outputs == reference.outputs
+
+
+class TestLazyTape:
+    """The wrapper hands the inner program the outer tape only on read."""
+
+    def test_wrapped_bfs_derives_no_tape(self, path10, seed_calls):
+        plan = FaultPlan.message_drop(0.3, seed=2)
+        run = Simulator(path10, injector=plan.injector()).run(
+            ResilientAlgorithm(BFS(0, hops=9), max_retries=4),
+            seed=0,
+            algorithm_id=0,
+        )
+        assert run.outputs[9] is not None
+        assert seed_calls == []
+
+    def test_wrapped_gossip_outputs_unchanged(self, grid4, seed_calls):
+        gossip = PushGossip(5, rounds=6)
+        reference = solo_run(grid4, gossip, seed=5, algorithm_id=0)
+        solo_calls = sorted(seed_calls)
+        del seed_calls[:]
+        run = solo_run(grid4, ResilientAlgorithm(gossip), seed=5, algorithm_id=0)
+        assert run.outputs == reference.outputs
+        assert solo_calls and sorted(seed_calls) == solo_calls
